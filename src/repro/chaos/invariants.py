@@ -53,6 +53,7 @@ from repro.chaos.schedule import (
     ChaosSchedule,
     ChaosSpec,
 )
+from repro.durable import QUARANTINE_SUFFIX, tmp_path
 from repro.memory.errors import DDR_SENSITIVITIES
 from repro.memory.tester import CorrectLoopTester, DdrTestResult
 from repro.runtime.checkpoint import CampaignCheckpoint, FleetCheckpoint
@@ -70,10 +71,7 @@ from repro.transport import api as transport_api
 from repro.transport.batch import BatchTransportEngine
 from repro.transport.materials import WATER
 from repro.transport.montecarlo import Layer, SlabGeometry
-from repro.transport.surrogate.store import (
-    QUARANTINE_SUFFIX,
-    SurrogateStore,
-)
+from repro.transport.surrogate.store import SurrogateStore
 from repro.transport.tallies import TransportResult
 
 #: Transport trial sizing: 2 seed streams, 2 single-stream shards.
@@ -791,7 +789,7 @@ class InvariantChecker:
             violations,
             expect_exists=True,
         )
-        tmp = checkpoint.with_suffix(checkpoint.suffix + ".tmp")
+        tmp = tmp_path(checkpoint)
         if tmp.exists():
             violations.append(
                 "tmp file left behind after recovered write"
@@ -1604,7 +1602,7 @@ class InvariantChecker:
             )
         else:
             runner = trials.make_fleet_runner(checkpoint)
-        tmp = checkpoint.with_suffix(checkpoint.suffix + ".tmp")
+        tmp = tmp_path(checkpoint)
         if tmp.exists():
             violations.append("stale tmp not cleaned on startup")
         if target == "campaign":

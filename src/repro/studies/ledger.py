@@ -34,9 +34,9 @@ from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro import serde
 from repro.chaos.faultpoints import fault_point
+from repro.durable import fsync_dir, seal, unseal
 from repro.obs import core as obs
 from repro.runtime.budget import RetryPolicy
-from repro.runtime.checkpoint import _fsync_dir, payload_checksum
 from repro.runtime.errors import (
     CheckpointError,
     TransientHarnessError,
@@ -103,46 +103,43 @@ def _parse_record(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        error = LedgerError(f"unparseable ledger line: {text[:80]!r}")
-        error.parsed = False
-        return _raise(error)
+        raise _ledger_error(
+            f"unparseable ledger line: {text[:80]!r}", parsed=False
+        )
     if not isinstance(data, dict):
-        error = LedgerError(
-            f"ledger line is not an object: {text[:80]!r}"
+        raise _ledger_error(
+            f"ledger line is not an object: {text[:80]!r}",
+            parsed=False,
         )
-        error.parsed = False
-        return _raise(error)
     try:
-        serde.check("study-ledger-record", data)
+        unseal("study-ledger-record", data)
     except serde.SchemaError as exc:
-        error = LedgerError(f"bad ledger record schema: {exc}")
-        error.parsed = True
-        return _raise(error)
-    stored = data.get("checksum")
-    if stored != payload_checksum(data):
-        error = LedgerError(
+        raise _ledger_error(
+            f"bad ledger record schema: {exc}", parsed=True
+        )
+    except ValueError:
+        raise _ledger_error(
             f"ledger record seq={data.get('seq')!r} checksum"
-            " mismatch (corrupt record)"
+            " mismatch (corrupt record)",
+            parsed=True,
         )
-        error.parsed = True
-        return _raise(error)
     if data.get("type") not in LEDGER_RECORD_TYPES:
-        error = LedgerError(
-            f"unknown ledger record type {data.get('type')!r}"
+        raise _ledger_error(
+            f"unknown ledger record type {data.get('type')!r}",
+            parsed=True,
         )
-        error.parsed = True
-        return _raise(error)
     if not isinstance(data.get("seq"), int) or data["seq"] < 0:
-        error = LedgerError(
-            f"bad ledger sequence number {data.get('seq')!r}"
+        raise _ledger_error(
+            f"bad ledger sequence number {data.get('seq')!r}",
+            parsed=True,
         )
-        error.parsed = True
-        return _raise(error)
     return data
 
 
-def _raise(error: LedgerError) -> dict:
-    raise error
+def _ledger_error(message: str, parsed: bool) -> LedgerError:
+    error = LedgerError(message)
+    error.parsed = parsed
+    return error
 
 
 class StudyLedger:
@@ -283,7 +280,7 @@ class StudyLedger:
             )
         if self._valid_end is None or self._next_seq is None:
             self.replay()
-        record = serde.tag(
+        record = seal(
             "study-ledger-record",
             {
                 "seq": self._next_seq,
@@ -291,7 +288,6 @@ class StudyLedger:
                 "body": dict(body),
             },
         )
-        record["checksum"] = payload_checksum(record)
         line = json.dumps(record, sort_keys=True) + "\n"
         attempts = self._retry.delays_s() + (None,)
         anchor = self._valid_end
@@ -339,7 +335,7 @@ class StudyLedger:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        _fsync_dir(self.path.parent)
+        fsync_dir(self.path.parent)
         self._valid_end = start + len(payload)
         # The chaos window: everything after the durable write, so a
         # kill here proves the record survives and a torn write here

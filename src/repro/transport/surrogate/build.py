@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import serde
+from repro.durable import seal
 from repro.obs import core as obs
-from repro.runtime.checkpoint import payload_checksum
 from repro.spectra.beamlines import rotax_spectrum
 from repro.spectra.spectrum import Spectrum
 from repro.transport.materials import (
@@ -326,7 +325,7 @@ def build_artifact(
                     "held_out": report,
                 }
             )
-        payload = serde.tag(
+        artifact = seal(
             "surrogate-artifact",
             {
                 "name": name,
@@ -339,5 +338,4 @@ def build_artifact(
                 "certification": certification,
             },
         )
-    payload["checksum"] = payload_checksum(payload)
-    return payload
+    return artifact

@@ -3,33 +3,28 @@
 Artifacts live as ``<root>/<digest>.json`` where ``digest`` is the
 payload's SHA-256 checksum — the filename *is* the content address,
 so a partially-written or tampered file is detectable without any
-sidecar metadata.  Loading re-derives the checksum and serde-checks
-the envelope; anything that fails is quarantined (renamed to
-``*.quarantined``) and skipped, never served.  The
-``surrogate.artifact_load`` chaos fault point sits directly on the
-load path so the matrix can prove corrupt artifacts degrade to a
-live engine instead of poisoning answers.
+sidecar metadata.  Saving and loading follow the :mod:`repro.durable`
+contract: atomic fsync'd publish, and anything that fails
+:func:`~repro.durable.unseal` or the address check is quarantined and
+skipped, never served.  The ``surrogate.artifact_load`` chaos fault
+point sits directly on the load path so the matrix can prove corrupt
+artifacts degrade to a live engine instead of poisoning answers.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import serde
 from repro.chaos.faultpoints import fault_point
+from repro.durable import atomic_write, quarantine, unseal
 from repro.obs import core as obs
-from repro.runtime.checkpoint import payload_checksum
 from repro.runtime.errors import TransientHarnessError
 from repro.transport.surrogate.surface import ResponseSurface
 
-__all__ = ["SurrogateStore", "QUARANTINE_SUFFIX"]
-
-#: Rename suffix for artifacts that fail validation (mirrors the
-#: service result cache's quarantine idiom).
-QUARANTINE_SUFFIX = ".quarantined"
+__all__ = ["SurrogateStore"]
 
 
 class SurrogateStore:
@@ -53,24 +48,19 @@ class SurrogateStore:
     # -- persistence ---------------------------------------------------
 
     def save(self, artifact: dict) -> Path:
-        """Persist an artifact at its content address.
+        """Durably persist an artifact at its content address.
 
         Returns:
             Path of the written ``<digest>.json``.
+
+        Raises:
+            ValueError: when the artifact's schema or checksum does
+                not verify.
         """
-        serde.check("surrogate-artifact", artifact)
-        digest = payload_checksum(artifact)
-        if artifact.get("checksum") != digest:
-            raise ValueError(
-                "artifact checksum does not match its body"
-            )
+        unseal("surrogate-artifact", artifact)
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{digest}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(artifact, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        path = self.root / f"{artifact['checksum']}.json"
+        atomic_write(path, json.dumps(artifact, sort_keys=True))
         # Invalidate the cache so the next lookup sees the new file.
         self._loaded = False
         self._surfaces.clear()
@@ -80,10 +70,7 @@ class SurrogateStore:
     # -- loading -------------------------------------------------------
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        target = path.with_name(path.name + QUARANTINE_SUFFIX)
-        try:
-            os.replace(path, target)
-        except OSError:
+        if not quarantine(path):
             return
         obs.inc(
             "repro_surrogate_quarantined_total", reason=reason
@@ -103,15 +90,14 @@ class SurrogateStore:
             self._quarantine(path, reason="unreadable")
             return None
         try:
-            serde.check("surrogate-artifact", artifact)
-        except Exception:
+            unseal("surrogate-artifact", artifact)
+        except serde.SchemaError:
             self._quarantine(path, reason="schema")
             return None
-        digest = payload_checksum(artifact)
-        if artifact.get("checksum") != digest:
+        except ValueError:
             self._quarantine(path, reason="checksum")
             return None
-        if path.name != f"{digest}.json":
+        if path.name != f"{artifact['checksum']}.json":
             self._quarantine(path, reason="address")
             return None
         return artifact

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.durable import QUARANTINE_SUFFIX
 from repro.obs import core as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import Budget, RetryPolicy
@@ -21,7 +22,6 @@ from repro.service import (
     ResultCache,
     ServiceError,
 )
-from repro.service.cache import QUARANTINE_SUFFIX
 from repro.service.cli import load_plans
 from repro.service.protocol import MAX_N_NEUTRONS, parse_request
 
@@ -196,7 +196,7 @@ def test_corrupt_cache_entries_quarantined_and_recomputed(
     else:  # wrong-key
         data = json.loads(raw)
         data["key"] = "0" * 64
-        from repro.runtime.checkpoint import payload_checksum
+        from repro.durable import payload_checksum
 
         del data["checksum"]
         data["checksum"] = payload_checksum(data)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.durable import QUARANTINE_SUFFIX
 from repro.runtime.budget import Budget, RetryPolicy
 from repro.runtime.errors import TransientHarnessError
 from repro.service.compute import CircuitBreaker
@@ -99,6 +100,28 @@ class TestResume:
         assert full.status == "complete"
         baseline = _scheduler(tmp_path / "one-shot").run()
         assert _canon(full.report) == _canon(baseline.report)
+
+    def test_resume_sweeps_stale_tmp_and_quarantines_corrupt_entry(
+        self, tmp_path
+    ):
+        spec = _spec()
+        partial = _scheduler(tmp_path, spec=spec, max_shards=2).run()
+        assert partial.report.committed == (0, 1)
+        store = tmp_path / "store"
+        entry = _scheduler(tmp_path, spec=spec).store.entry_path(
+            spec.shard_key(spec.shards()[0])
+        )
+        data = json.loads(entry.read_text())
+        data["payload"]["tallies"]["mc_source"] += 1
+        entry.write_text(json.dumps(data, sort_keys=True))
+        stale = entry.with_name("0" * 64 + ".json.tmp")
+        stale.write_text("half a wri")
+        resumed = _scheduler(tmp_path, spec=spec).run()
+        assert resumed.status == "complete"
+        clean = _scheduler(tmp_path / "clean", spec=spec).run()
+        assert _canon(resumed.report) == _canon(clean.report)
+        assert not list(store.rglob("*.tmp"))
+        assert entry.with_name(entry.name + QUARANTINE_SUFFIX).exists()
 
     def test_interrupt_stops_between_shards(self, tmp_path):
         polls = []

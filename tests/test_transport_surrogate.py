@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
 from repro.chaos import trials
-from repro.runtime.checkpoint import payload_checksum
+from repro.durable import QUARANTINE_SUFFIX, payload_checksum
 from repro.service.protocol import SHIELDS
 from repro.spectra.beamlines import rotax_spectrum
 from repro.transport.materials import CADMIUM
@@ -18,7 +19,6 @@ from repro.transport.surrogate import (
     SurrogateStore,
     build_artifact,
 )
-from repro.transport.surrogate.store import QUARANTINE_SUFFIX
 from repro.transport.surrogate.build import (
     DEFAULT_SHIELD_THICKNESS_CM,
     build_surface,
@@ -315,3 +315,52 @@ def test_defective_artifacts_are_quarantined_not_served(
     assert fresh.surfaces() == []
     quarantined = list(tmp_path.glob("*" + QUARANTINE_SUFFIX))
     assert len(quarantined) == 1
+
+
+def _inode(stat_result):
+    return (stat_result.st_dev, stat_result.st_ino)
+
+
+def test_save_fsyncs_artifact_and_directory(
+    artifact, tmp_path, monkeypatch
+):
+    # A certified artifact must survive power loss: the file and the
+    # directory entry that names it both reach disk before save()
+    # returns.
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(_inode(os.fstat(fd)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = SurrogateStore(tmp_path).save(artifact)
+    assert _inode(path.stat()) in synced
+    assert _inode(tmp_path.stat()) in synced
+
+
+def test_save_interrupted_before_rename_publishes_nothing(
+    artifact, tmp_path, monkeypatch
+):
+    store = SurrogateStore(tmp_path)
+    digest = artifact["checksum"]
+
+    def crash_before_rename(_src, _dst):
+        raise OSError("power lost between the durable tmp and rename")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", crash_before_rename)
+        with pytest.raises(OSError):
+            store.save(artifact)
+    assert not (tmp_path / f"{digest}.json").exists()
+    assert SurrogateStore(tmp_path).digests() == []
+    store.save(artifact)
+    surface = ResponseSurface.from_dict(artifact["surfaces"][0])
+    hit = SurrogateStore(tmp_path).lookup(
+        surface.mode,
+        surface.material,
+        surface.source,
+        surface.thickness_cm[0],
+    )
+    assert hit is not None and hit[1] == digest
