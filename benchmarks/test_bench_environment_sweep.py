@@ -22,7 +22,8 @@ from repro.environment import (
     WeatherCondition,
 )
 from repro.faults.models import Outcome
-from repro.transport import CONCRETE, WATER, thermal_albedo_enhancement
+from repro.transport import CONCRETE, WATER
+from repro.transport.api import TransportQuery, answer
 
 
 def _sweep():
@@ -102,12 +103,22 @@ def test_bench_modifiers_vs_transport(benchmark):
     of the real materials lands in the same range."""
 
     def _albedos():
-        water, _ = thermal_albedo_enhancement(
-            WATER, 5.08, n_neutrons=4000, seed=5
-        )
-        concrete, _ = thermal_albedo_enhancement(
-            CONCRETE, 20.0, n_neutrons=4000, seed=5
-        )
+        water = answer(
+            TransportQuery(
+                mode="albedo", material=WATER, thickness_cm=5.08,
+                source_energy_ev=1.0e6, n_neutrons=4000, seed=5,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
+        concrete = answer(
+            TransportQuery(
+                mode="albedo", material=CONCRETE, thickness_cm=20.0,
+                source_energy_ev=1.0e6, n_neutrons=4000, seed=5,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
         return water, concrete
 
     water, concrete = run_once(benchmark, _albedos)

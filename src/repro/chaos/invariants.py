@@ -1,9 +1,23 @@
 """Replay chaos runs against clean runs and check recovery invariants.
 
-Every (site, action) cell of the chaos matrix runs the same small
-workload twice: once clean (cached per subsystem) and once — or N
-times — with the fault injected.  The :class:`InvariantChecker` then
-asserts the runtime's recovery *contract*, not merely survival:
+Every (site, action) cell of the chaos matrix runs a small workload
+under an injected fault and compares it with the same workload's
+clean run (cached per subsystem).  :data:`SITES` holds one row per
+declared fault site: its fire-position horizon, the :data:`WORKLOADS`
+entry it drives, and the function that runs its in-process
+actions.  Four shared scaffolds run every cell:
+
+* **fire** (:meth:`_Trial.fire`) — arm a ``ChaosController``, run the
+  workload under it, and require the fault to have fired;
+* **kill** (:func:`_kill`) — SIGKILL a forked run at the fault, then
+  resume it through the workload's ``recover``;
+* **delay** (:func:`_delay`) — jump the injected clock past the
+  wall-clock budget, then resume the checkpointed remainder;
+* **serve, then recover** (:func:`_serve`) — answer a FIT-service
+  query under the fault, then require the next query clean.
+
+The :class:`InvariantChecker` asserts the runtime's recovery
+*contract*, not merely survival:
 
 * **Byte-identical recovery.**  A retried, resumed, or
   shard-recomputed run produces exactly the clean run's data (the
@@ -32,16 +46,31 @@ asserts the runtime's recovery *contract*, not merely survival:
   byte-for-byte with every shard committed exactly once; a ledger
   corrupted or truncated at rest is detected (``LedgerError``) or
   recovered identically — never resumed silently wrong.
+* **A bad surrogate artifact never answers.**  A truncated or
+  corrupted artifact is quarantined and the query falls back to a
+  live engine with honest provenance; a transient read error is a
+  miss, and the artifact serves again afterwards.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import signal
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import serde
 from repro.chaos import actions as chaos_actions
@@ -53,7 +82,7 @@ from repro.chaos.schedule import (
     ChaosSchedule,
     ChaosSpec,
 )
-from repro.durable import QUARANTINE_SUFFIX, tmp_path
+from repro.durable import QUARANTINE_SUFFIX
 from repro.memory.errors import DDR_SENSITIVITIES
 from repro.memory.tester import CorrectLoopTester, DdrTestResult
 from repro.runtime.checkpoint import CampaignCheckpoint, FleetCheckpoint
@@ -298,6 +327,923 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+
+
+# ----------------------------------------------------------------------
+# Workloads (one per subsystem; the clean run of each is the baseline)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One subsystem the chaos matrix drives.
+
+    Attributes:
+        start: ``start(checker, where=None, **options)`` builds the
+            trial-sized runner; ``where`` roots its durable state.
+        finish: ``finish(runner, resume)`` runs it to an outcome.
+        canon: canonical JSON of an outcome's data.
+        state: name of the durable state (checkpoint file or study
+            directory) under a trial's scratch directory.
+        snapshot: the checkpoint class a supervised run writes.
+        recover: ``recover(trial, where)`` resumes a SIGKILL'd run
+            and compares it with the clean run.
+    """
+
+    start: Callable[..., Any]
+    finish: Callable[[Any, bool], Any]
+    canon: Callable[[Any], str]
+    state: str = ""
+    snapshot: Optional[type] = None
+    recover: Optional[Callable[["_Trial", Path], None]] = None
+
+    def run(
+        self,
+        checker: "InvariantChecker",
+        where: Optional[Path] = None,
+        resume: bool = False,
+        **options,
+    ) -> Any:
+        """Start and finish one run."""
+        return self.finish(
+            self.start(checker, where, **options), resume
+        )
+
+
+def _study(checker, where=None, poison=False):
+    # A study cannot run without a directory; the clean run keeps its
+    # own beside the trial directories.
+    if where is None:
+        name = "clean-study-poison" if poison else "clean-study"
+        where = checker.workdir / name
+    return trials.make_study_scheduler(where, poison=poison)
+
+
+def _transport_sweep(checker, where=None, n_workers=1):
+    del checker, where
+    engine = BatchTransportEngine(SlabGeometry([Layer(WATER, 4.0)]))
+    return functools.partial(
+        engine.run,
+        TRANSPORT_N_NEUTRONS,
+        source_energy_ev=TRANSPORT_SOURCE_EV,
+        seed=TRANSPORT_SEED,
+        batch_size=TRANSPORT_BATCH_SIZE,
+        n_workers=n_workers,
+    )
+
+
+def _query(service) -> str:
+    """One trial request line answered by ``service``."""
+    return trials.run_service_lines(
+        service, [trials.service_request_line()]
+    )[0]
+
+
+def _query_once(service, resume: bool) -> str:
+    del resume
+    try:
+        return _query(service)
+    finally:
+        service.close()
+
+
+def _recover_checkpoint(t: "_Trial", checkpoint: Path) -> None:
+    """Resume a killed supervised run from whatever it left on disk."""
+    resumable = _require_checkpoint(t, checkpoint)
+    # Constructing the recovery runner sweeps stale tmp files.
+    runner = t.workload.start(t.checker, checkpoint)
+    _no_stale_tmp(t, "stale tmp not cleaned on startup")
+    recovered = t.workload.finish(runner, resumable)
+    t.expect(
+        t.canon(recovered) == t.clean,
+        "recovered result diverged from clean run",
+    )
+    t.expect(
+        not resumable or _has_event(recovered.events, EventKind.RESUME),
+        "no RESUME event after resume",
+    )
+
+
+def _recover_study(t: "_Trial", workdir: Path) -> None:
+    """Resume a killed study: byte-exact, each shard committed once."""
+    scheduler = t.workload.start(t.checker, workdir)
+    try:
+        resumed = scheduler.run()
+    except LedgerError as exc:
+        t.violations.append(f"ledger observable invalid after kill: {exc}")
+        return
+    _study_settled(t, resumed, "resumed result diverged from clean run")
+    _no_stale_tmp(t, "stale shard tmp survived resume")
+    # replay() raises on any double-committed shard, so a clean
+    # replay plus the exact committed count proves each shard was
+    # counted exactly once.
+    committed = len(scheduler.ledger.replay().committed)
+    expected = scheduler.spec.n_shards - (1 if _poisoned(t) else 0)
+    t.expect(
+        committed == expected,
+        f"{committed} shards committed, expected {expected}",
+    )
+
+
+#: The subsystems chaos cells drive, by name.  Names double as the
+#: :data:`trials.CHILD_TARGETS` a ``kill-process`` cell forks.
+WORKLOADS: Dict[str, Workload] = {
+    "campaign": Workload(
+        lambda checker, where=None, **options: (
+            trials.make_campaign_runner(where, plan=checker.plan, **options)
+        ),
+        lambda runner, resume: runner.run(resume=resume),
+        canon_exposures,
+        "ck.json",
+        CampaignCheckpoint,
+        _recover_checkpoint,
+    ),
+    "fleet": Workload(
+        lambda checker, where=None, **options: (
+            trials.make_fleet_runner(where, **options)
+        ),
+        lambda runner, resume: runner.run(
+            n_days=trials.FLEET_N_DAYS, resume=resume
+        ),
+        canon_days,
+        "ck.json",
+        FleetCheckpoint,
+        _recover_checkpoint,
+    ),
+    # An existing ledger always resumes.
+    "study": Workload(
+        _study,
+        lambda scheduler, resume: scheduler.run(),
+        lambda outcome: canon_study(outcome.report),
+        "study",
+        recover=_recover_study,
+    ),
+    "study-poison": Workload(
+        functools.partial(_study, poison=True),
+        lambda scheduler, resume: scheduler.run(),
+        lambda outcome: canon_study(outcome.report),
+        "study",
+        recover=_recover_study,
+    ),
+    "transport": Workload(
+        _transport_sweep, lambda sweep, resume: sweep(), canon_transport
+    ),
+    "ddr": Workload(
+        lambda checker, where=None: CorrectLoopTester(
+            DDR_SENSITIVITIES[DDR_GENERATION],
+            DDR_CAPACITY_GBIT,
+            seed=DDR_SEED,
+        ),
+        lambda tester, resume: tester.run(
+            ROTAX_THERMAL_FLUX,
+            duration_s=DDR_DURATION_S,
+            n_passes=DDR_N_PASSES,
+        ),
+        canon_ddr,
+    ),
+    "service": Workload(
+        lambda checker, where=None, **options: (
+            trials.make_service(cache_dir=where, **options)
+        ),
+        _query_once,
+        canon_service,
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# One trial in flight, and the checks cells share
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Trial:
+    """One chaos trial: the injection, its scratch directory, the
+    workload it drives, and the violations found so far."""
+
+    checker: "InvariantChecker"
+    spec: ChaosSpec
+    tmpdir: Path
+    name: Optional[str]
+    violations: List[str] = field(default_factory=list)
+    fired: bool = False
+
+    @property
+    def workload(self) -> Workload:
+        return WORKLOADS[self.name]
+
+    @property
+    def clean(self) -> str:
+        return self.checker.clean(self.name)
+
+    @property
+    def where(self) -> Path:
+        return self.tmpdir / self.workload.state
+
+    def canon(self, outcome) -> str:
+        return self.workload.canon(outcome)
+
+    def run(self, where: Optional[Path] = None, **options):
+        return self.workload.run(self.checker, where, **options)
+
+    def expect(self, ok: bool, violation: str) -> None:
+        if not ok:
+            self.violations.append(violation)
+
+    def fire(
+        self,
+        run: Callable[[], Any],
+        clock: Optional[ChaosClock] = None,
+        proof: Optional[Callable[[Any], bool]] = None,
+        unfired: str = "fault never fired",
+    ) -> Any:
+        """The fire scaffold: run ``run()`` under the armed fault.
+
+        ``proof(result)`` replaces the controller's own record when
+        the fault fires in another process (a killed pool worker).
+        """
+        controller = ChaosController(self.spec, clock=clock)
+        with activated(controller):
+            result = run()
+        self.fired = (
+            proof(result) if proof is not None else controller.fired()
+        )
+        self.expect(self.fired, unfired)
+        return result
+
+
+def _has_event(events, kind: str) -> bool:
+    return any(e.kind == kind for e in events)
+
+
+def _poisoned(t: _Trial) -> bool:
+    return t.name == "study-poison"
+
+
+def _require_checkpoint(
+    t: _Trial, path: Path, expect_exists: bool = False
+) -> bool:
+    """A checkpoint file, if observable, must always load.
+
+    Returns:
+        True when a valid checkpoint is there to resume from.
+    """
+    if not path.exists():
+        t.expect(
+            not expect_exists,
+            f"expected checkpoint at {path.name}, found none",
+        )
+        return False
+    try:
+        t.workload.snapshot.load(path)
+    except CheckpointError as exc:
+        t.violations.append(f"checkpoint observable invalid: {exc}")
+        return False
+    return True
+
+
+def _no_stale_tmp(t: _Trial, violation: str) -> None:
+    """No ``*.tmp`` may survive anywhere under the trial directory."""
+    stale = sorted(p.name for p in t.tmpdir.rglob("*.tmp"))
+    t.expect(not stale, f"{violation}: {stale}")
+
+
+def _study_settled(t: _Trial, outcome, diverged: str) -> None:
+    """The study ended as its clean run did, with the same report."""
+    expected = "degraded" if _poisoned(t) else "complete"
+    t.expect(
+        outcome.status == expected,
+        f"study ended {outcome.status!r}, expected {expected}",
+    )
+    t.expect(t.canon(outcome) == t.clean, diverged)
+
+
+def _internal_error(t: _Trial, line: str, what: str) -> None:
+    """``line`` must be a structured ``internal`` error response."""
+    try:
+        data = json.loads(line)
+    except ValueError:
+        t.violations.append(f"{what} produced an unparsable line")
+        return
+    if data.get("ok") is not False:
+        t.violations.append(f"{what} did not surface as an error")
+    elif data["error"]["code"] != "internal":
+        t.violations.append(
+            f"{what} surfaced with code {data['error']['code']!r}"
+        )
+
+
+# ----------------------------------------------------------------------
+# Shared scaffolds (fire is _Trial.fire)
+# ----------------------------------------------------------------------
+
+
+def _kill(t: _Trial) -> None:
+    """The kill scaffold: SIGKILL a forked run at the fault, recover."""
+    where = t.where
+    armed = dataclasses.replace(
+        t.spec, marker_path=str(t.tmpdir / "marker")
+    )
+    outcome = trials.run_kill_trial(
+        t.name, armed, where, plan=t.checker.plan
+    )
+    t.fired = outcome.fired
+    t.expect(not outcome.hung, "chaos child hung past timeout")
+    if not t.fired:
+        t.violations.append("fault never fired (no marker)")
+    elif outcome.exit_code != -signal.SIGKILL:
+        t.violations.append(
+            f"child exited {outcome.exit_code},"
+            f" expected -{int(signal.SIGKILL)}"
+        )
+    t.workload.recover(t, where)
+
+
+def _delay(t: _Trial) -> None:
+    """The delay scaffold: the deadline stops the run right after the
+    clock jump, and the checkpointed remainder resumes exactly."""
+    checkpoint = t.where
+    clock = ChaosClock()
+    outcome = t.fire(
+        lambda: t.run(
+            checkpoint,
+            clock=clock.monotonic,
+            wall_clock_budget_s=trials.DELAY_TRIAL_BUDGET_S,
+        ),
+        clock=clock,
+    )
+    n_steps = len(json.loads(t.clean))
+    if outcome.completed:
+        t.expect(
+            t.spec.fire_at >= n_steps - 1,
+            "deadline not enforced after injected delay",
+        )
+        t.expect(
+            t.canon(outcome) == t.clean, "delayed run diverged from clean"
+        )
+        return
+    t.expect(
+        _has_event(outcome.events, EventKind.DEADLINE),
+        "no DEADLINE event after delay",
+    )
+    ran = len(json.loads(t.canon(outcome)))
+    t.expect(
+        ran == t.spec.fire_at + 1,
+        f"budget not respected: {ran} steps ran,"
+        f" expected {t.spec.fire_at + 1}",
+    )
+    _require_checkpoint(t, checkpoint, expect_exists=True)
+    resumed = t.run(checkpoint, resume=True)
+    t.expect(
+        t.canon(resumed) == t.clean,
+        "resume after deadline diverged from clean run",
+    )
+    t.expect(
+        _has_event(resumed.events, EventKind.RESUME),
+        "no RESUME event on resume",
+    )
+
+
+def _serve(
+    t: _Trial,
+    serve: Callable[[Any], Any],
+    check: Callable[[_Trial, Any, Any], None],
+    restart: bool = False,
+    n_workers: int = 1,
+    **proof,
+) -> str:
+    """The serve-then-recover scaffold (every ``service.*`` site).
+
+    Answers ``serve(service)`` under the fault and hands its output to
+    ``check(t, service, out)``.  The next query must then come back
+    clean — on the same service or, with ``restart``, on a fresh one
+    over the same cache directory.
+
+    Returns:
+        The next query's response line.
+    """
+    cache_dir = t.tmpdir / "cache" if restart else None
+    service = t.workload.start(t.checker, cache_dir, n_workers=n_workers)
+    try:
+        out = t.fire(lambda: serve(service), **proof)
+        check(t, service, out)
+        if restart:
+            # Its init sweeps stale tmp files, and its first answer
+            # proves the cache holds a complete entry or none.
+            service.close()
+            service = t.workload.start(t.checker, cache_dir)
+            _no_stale_tmp(t, "stale cache tmp not swept on startup")
+        after = _query(service)
+    finally:
+        service.close()
+    t.expect(
+        canon_service(after) == t.clean,
+        f"service did not recover after {t.spec.action}",
+    )
+    return after
+
+
+# ----------------------------------------------------------------------
+# Per-site cells (in-process actions)
+# ----------------------------------------------------------------------
+
+
+def _supervised_fault(t: _Trial) -> None:
+    """A transient fault or a failed checkpoint write is ridden out; a
+    crash skips exactly one step.  The checkpoint left behind loads
+    and no tmp file survives."""
+    checkpoint = t.where
+    outcome = t.fire(lambda: t.run(checkpoint))
+    _require_checkpoint(t, checkpoint, expect_exists=True)
+    _no_stale_tmp(t, "tmp file left behind after recovered write")
+    if t.spec.action == chaos_actions.CRASH:
+        _isolated_crash(t, outcome)
+        return
+    t.expect(
+        outcome.completed,
+        f"{t.spec.action} fault was not ridden out (incomplete)",
+    )
+    t.expect(
+        t.canon(outcome) == t.clean, "retried run diverged from clean run"
+    )
+    t.expect(
+        t.spec.action == chaos_actions.DUPLICATE
+        or _has_event(outcome.events, EventKind.RETRY),
+        "no RETRY event recorded",
+    )
+
+
+def _isolated_crash(t: _Trial, outcome) -> None:
+    """Crash isolation: skip exactly one step, keep the prefix, and
+    be reproducible under replay."""
+    got = t.canon(outcome)
+    t.expect(outcome.completed, "crash was not isolated (run incomplete)")
+    isolations = sum(
+        1 for e in outcome.events if e.kind == EventKind.ISOLATION
+    )
+    t.expect(
+        isolations == 1,
+        f"expected exactly 1 isolation, saw {isolations}",
+    )
+    clean_rows = json.loads(t.clean)
+    got_rows = json.loads(got)
+    k = t.spec.fire_at
+    t.expect(
+        got_rows[:k] == clean_rows[:k],
+        "pre-fault prefix diverged from clean run",
+    )
+    t.expect(
+        len(got_rows) == len(clean_rows) - 1,
+        "isolated step was not exactly skipped"
+        f" ({len(got_rows)} vs {len(clean_rows)} exposures)",
+    )
+    # Replay determinism: the same chaos seed must reproduce the same
+    # degraded-but-valid result, or no violation report is ever
+    # debuggable.
+    replay = t.fire(t.run)
+    t.expect(
+        t.canon(replay) == got, "chaos run is not reproducible under replay"
+    )
+
+
+def _checkpoint_load(t: _Trial) -> None:
+    """A double read resumes exactly; a truncated or corrupted
+    checkpoint must be refused."""
+    checkpoint = t.where
+    # Produce a genuine mid-run checkpoint to attack.
+    t.workload.start(t.checker, checkpoint).run(max_steps=2)
+
+    def resume():
+        try:
+            return t.run(checkpoint, resume=True)
+        except CheckpointError:
+            return None
+
+    outcome = t.fire(resume)
+    if t.spec.action == chaos_actions.DUPLICATE:
+        t.expect(
+            outcome is not None and t.canon(outcome) == t.clean,
+            "double-read resume diverged from clean run",
+        )
+    else:
+        t.expect(
+            outcome is None,
+            f"{t.spec.action} checkpoint resumed silently"
+            " (expected CheckpointError)",
+        )
+
+
+def _transport_fault(t: _Trial) -> None:
+    """A failed or duplicated shard is retried and flagged; a killed
+    worker's shards are recomputed.  Tallies never change."""
+    if t.spec.action == chaos_actions.KILL_WORKER:
+        # The kill fires in forked workers; the parent-side proof is
+        # the degradation flag plus unchanged tallies.
+        result = t.fire(
+            lambda: t.run(n_workers=2),
+            proof=lambda r: r.degraded_shards > 0,
+            unfired="worker kill produced no degraded shard",
+        )
+    else:
+        result = t.fire(lambda: t.run(n_workers=1))
+        expected = 0 if t.spec.action == chaos_actions.DUPLICATE else 1
+        t.expect(
+            result.degraded_shards == expected,
+            f"expected degraded_shards={expected},"
+            f" got {result.degraded_shards}",
+        )
+    t.expect(
+        t.canon(result) == t.clean, "faulted tallies diverged from clean"
+    )
+
+
+def _memory_fault(t: _Trial) -> None:
+    """A transient pass fault retries on a fresh tester; a crash is
+    isolated and a clean attempt still matches."""
+    events = EventLog()
+    supervisor = Supervisor(events=events, sleep=trials._no_sleep)
+    if t.spec.action == chaos_actions.RAISE_TRANSIENT:
+        result = t.fire(lambda: supervisor.call("ddr", t.run))
+        t.expect(
+            events.count(EventKind.RETRY) >= 1, "no RETRY event recorded"
+        )
+    else:
+        isolated = t.fire(lambda: supervisor.isolate("ddr", t.run))
+        t.expect(isolated is None, "crash was not isolated")
+        t.expect(
+            events.count(EventKind.ISOLATION) == 1,
+            "no ISOLATION event recorded",
+        )
+        result = t.run()
+    t.expect(
+        t.canon(result) == t.clean, "DDR run diverged from clean run"
+    )
+
+
+def _same_as_clean(t: _Trial, service, out: str) -> None:
+    del service
+    t.expect(
+        canon_service(out) == t.clean,
+        "faulted response diverged from clean run",
+    )
+
+
+def _service_cache(t: _Trial) -> None:
+    """Cache-write faults: responses unharmed, no torn entry."""
+    after = _serve(t, _query, _same_as_clean, restart=True)
+    cached = json.loads(after).get("cached")
+    if t.spec.action == chaos_actions.CRASH:
+        # The one write attempt crashed; no entry may exist.
+        t.expect(not cached, "crashed cache write left a served entry")
+    else:
+        # Transient/torn faults are retried to success.
+        t.expect(cached, "retried cache write did not produce a hit")
+
+
+def _warm_then_query(service) -> str:
+    # Fork the pool inside activation so workers inherit the armed
+    # controller.
+    service.executor.warm()
+    return _query(service)
+
+
+def _worker_retried(t: _Trial, service, out: str) -> None:
+    del service
+    data = json.loads(out)
+    t.expect(
+        data.get("ok") is True, "worker kill surfaced as an error response"
+    )
+    t.expect(
+        data.get("degraded_reason") == "worker-retry",
+        f"degraded_reason is {data.get('degraded_reason')!r},"
+        " expected 'worker-retry'",
+    )
+    # Only the top-level flag changes.  The nested provenance flag
+    # means "a different engine than requested", and a retry on a
+    # fresh worker keeps the engine.
+    t.expect(
+        json.loads(canon_service(out))
+        == dict(json.loads(t.clean), degraded=True),
+        "post-worker-death result diverged from clean",
+    )
+
+
+def _dispatch_retried(t: _Trial, service, out: str) -> None:
+    _same_as_clean(t, service, out)
+    t.expect(
+        service.executor.events.count(EventKind.RETRY) >= 1,
+        "no RETRY event recorded",
+    )
+
+
+def _service_dispatch(t: _Trial) -> None:
+    """Dispatch faults: retry, isolate, or degrade — never wedge."""
+    if t.spec.action == chaos_actions.KILL_WORKER:
+        # The kill fires inside a forked worker; the parent-side
+        # proof is the degradation flag.
+        _serve(
+            t,
+            _warm_then_query,
+            _worker_retried,
+            n_workers=2,
+            proof=lambda out: bool(json.loads(out).get("degraded")),
+            unfired="worker kill produced no degraded response",
+        )
+    elif t.spec.action == chaos_actions.RAISE_TRANSIENT:
+        _serve(t, _query, _dispatch_retried)
+    else:
+        _serve(
+            t,
+            _query,
+            lambda t, s, out: _internal_error(t, out, "dispatch crash"),
+        )
+
+
+def _herd(service, n_clients: int) -> List[str]:
+    return trials.run_service_storm(
+        service, trials.service_request_line(), n_clients
+    )
+
+
+def _herd_recovers(t: _Trial, service, faulted: List[str]) -> None:
+    t.expect(
+        len(set(faulted)) == 1,
+        "coalesced waiters saw different handoff failures",
+    )
+    for response in set(faulted):
+        _internal_error(t, response, "handoff fault")
+    t.expect(
+        service.executor.compute_count == 1,
+        "faulted storm was not coalesced"
+        f" ({service.executor.compute_count} computations)",
+    )
+    # Fires exhausted: the full storm must now succeed with
+    # byte-identical payloads from a single computation.
+    before = service.executor.compute_count
+    storm = _herd(service, trials.SERVICE_STORM_CLIENTS)
+    t.expect(
+        len(set(storm)) == 1,
+        "storm responses were not byte-identical"
+        f" ({len(set(storm))} distinct)",
+    )
+    t.expect(
+        canon_service(storm[0]) == t.clean,
+        "storm response diverged from clean run",
+    )
+    computed = service.executor.compute_count - before
+    t.expect(
+        computed == 1,
+        f"storm of {trials.SERVICE_STORM_CLIENTS} cost"
+        f" {computed} computations, expected 1",
+    )
+
+
+def _service_handoff(t: _Trial) -> None:
+    """Coalescer handoff faults: one shared clean error, then a full
+    thundering herd resolved by one computation."""
+    _serve(t, lambda service: _herd(service, 8), _herd_recovers)
+
+
+def _service_respond(t: _Trial) -> None:
+    """Serialization faults: a structured error line, then clean."""
+    _serve(
+        t, _query, lambda t, s, out: _internal_error(t, out, "respond fault")
+    )
+
+
+def _study_or_refusal(t: _Trial):
+    """Run (or resume) the trial's study; a refusal is returned."""
+    try:
+        return t.run(t.where)
+    except LedgerError as exc:
+        return exc
+
+
+def _ledger_fault(t: _Trial) -> None:
+    """Ledger-append faults: healed, skipped, or refused — the
+    replayed state is never silently wrong."""
+    outcome = t.fire(lambda: _study_or_refusal(t))
+    if t.spec.action in (
+        chaos_actions.RAISE_TRANSIENT,
+        chaos_actions.TORN_WRITE,
+        chaos_actions.DUPLICATE,
+    ):
+        if isinstance(outcome, LedgerError):
+            t.violations.append(
+                f"{t.spec.action} ledger append was not ridden out"
+            )
+            return
+        _study_settled(t, outcome, "faulted run diverged from clean run")
+        resumed = _study_or_refusal(t)
+        if isinstance(resumed, LedgerError):
+            t.violations.append(
+                f"recovered ledger refused replay: {resumed}"
+            )
+        else:
+            t.expect(
+                t.canon(resumed) == t.clean,
+                "resume diverged from clean run",
+            )
+        return
+    # truncate / corrupt (storage rot): either every subsequent
+    # replay refuses with LedgerError, or — for a truncation that
+    # merely looks like a torn tail — resume recovers the clean
+    # report exactly.  Silent divergence is the only violation.
+    if not isinstance(outcome, LedgerError):
+        resumed = _study_or_refusal(t)
+        if not isinstance(resumed, LedgerError):
+            if t.spec.action == chaos_actions.CORRUPT:
+                t.violations.append(
+                    "corrupt ledger record resumed silently"
+                )
+            else:
+                t.expect(
+                    t.canon(resumed) == t.clean,
+                    "truncated ledger resumed to a wrong report",
+                )
+            return
+    # The refusal must be durable: a later resume attempt must keep
+    # raising rather than append onto a corrupt ledger.
+    t.expect(
+        isinstance(_study_or_refusal(t), LedgerError),
+        f"{t.spec.action} ledger refusal was not durable",
+    )
+
+
+def _study_fault(t: _Trial):
+    """Run the study under the fault: it settles as the clean run did
+    and leaves no torn shard tmp (a failed publish is retried
+    idempotently).  Returns the scheduler for site-specific checks."""
+    scheduler = t.workload.start(t.checker, t.where)
+    outcome = t.fire(scheduler.run)
+    _study_settled(t, outcome, "faulted run diverged from clean run")
+    _no_stale_tmp(t, "torn shard tmp left behind")
+    return scheduler
+
+
+def _study_dispatch(t: _Trial) -> None:
+    """Dispatch faults: retried or failure-counted, never wedged,
+    tallies unchanged."""
+    scheduler = _study_fault(t)
+    failures = dict(scheduler.ledger.replay().failures)
+    if t.spec.action == chaos_actions.RAISE_TRANSIENT:
+        t.expect(
+            scheduler.events.count(EventKind.RETRY) >= 1,
+            "no RETRY event recorded",
+        )
+        t.expect(
+            not failures,
+            "transient dispatch fault recorded a deterministic"
+            f" failure: {failures}",
+        )
+    else:
+        t.expect(
+            sum(failures.values()) == 1,
+            f"expected exactly 1 ledgered failure, saw {failures}",
+        )
+
+
+def _study_quarantine(t: _Trial) -> None:
+    """The poison shard lands in quarantine exactly once and the
+    study degrades instead of wedging."""
+    scheduler = _study_fault(t)
+    quarantined = sorted(scheduler.ledger.replay().quarantined)
+    t.expect(
+        quarantined == [trials.STUDY_POISON_SHARD],
+        f"quarantined {quarantined},"
+        f" expected {[trials.STUDY_POISON_SHARD]}",
+    )
+
+
+def _surrogate_load(t: _Trial) -> None:
+    """Artifact-load faults: the facade always answers.
+
+    A truncated or corrupted artifact is quarantined on first read
+    and the query falls back to a live engine with honest provenance
+    (no surrogate digest); a transient read error is a miss, not a
+    quarantine — the artifact survives and a fresh store serves it
+    again.
+    """
+    root = t.tmpdir / "surrogate"
+    digest = trials.make_surrogate_root(root)
+    query = trials.surrogate_query()
+
+    def answer():
+        # The helper's query carries the trial workload's documented
+        # constant seed; taint cannot see through its return value.
+        return transport_api.answer(
+            query, store=SurrogateStore(root)  # repro: noqa REP101
+        )
+
+    clean = answer()
+    t.expect(
+        clean.provenance.engine == "surrogate",
+        "clean pass did not serve from the surrogate"
+        f" ({clean.provenance.engine!r})",
+    )
+    chaos = t.fire(answer)
+    t.expect(
+        0.0 <= chaos.value <= 1.0,
+        f"chaos answer is not a fraction: {chaos.value}",
+    )
+    t.expect(
+        abs(chaos.value - clean.value) <= SURROGATE_TRIAL_TOL,
+        "fallback answer diverged from the certified one:"
+        f" {chaos.value} vs {clean.value}",
+    )
+    served = chaos.provenance.engine == "surrogate"
+    quarantined = list(root.glob("*" + QUARANTINE_SUFFIX))
+    if t.spec.action == chaos_actions.RAISE_TRANSIENT:
+        t.expect(
+            not served, "transient load fault did not miss the surrogate"
+        )
+        t.expect(
+            not quarantined,
+            "transient fault quarantined a healthy artifact",
+        )
+        retry = answer()
+        if retry.provenance.engine != "surrogate":
+            t.violations.append(
+                "artifact not served again after transient fault"
+            )
+        else:
+            t.expect(
+                retry.provenance.artifact_digest == digest,
+                "retry served a different artifact",
+            )
+        return
+    t.expect(not served, f"{t.spec.action}d artifact still served the query")
+    t.expect(
+        not chaos.provenance.artifact_digest,
+        "fallback answer claims an artifact digest",
+    )
+    t.expect(
+        bool(quarantined), f"{t.spec.action}d artifact was not quarantined"
+    )
+
+
+# ----------------------------------------------------------------------
+# The cell table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Site:
+    """Everything the matrix needs to run one fault site's cells.
+
+    Attributes:
+        horizon: fire-position range (rough crossings per trial run);
+            ``None`` means one per campaign plan step.
+        workload: the :data:`WORKLOADS` entry the site's cells drive
+            (``None`` for the surrogate site's own artifact).
+        trial: runs the in-process actions; ``kill-process`` and
+            ``delay`` go to the shared kill and delay scaffolds.
+    """
+
+    horizon: Optional[int]
+    workload: Optional[str]
+    trial: Callable[[_Trial], None]
+
+
+#: One row per declared fault site.
+SITES: Dict[str, Site] = {
+    "supervisor.step": Site(None, "campaign", _supervised_fault),
+    "campaign.exposure": Site(None, "campaign", _supervised_fault),
+    "checkpoint.write": Site(None, "campaign", _supervised_fault),
+    "checkpoint.load": Site(1, "campaign", _checkpoint_load),
+    "fleet.day": Site(trials.FLEET_N_DAYS, "fleet", _supervised_fault),
+    "batch.worker": Site(2, "transport", _transport_fault),
+    "batch.merge": Site(2, "transport", _transport_fault),
+    "memory.pass": Site(DDR_N_PASSES, "ddr", _memory_fault),
+    # One crossing per trial request for every service site.
+    "service.cache_write": Site(1, "service", _service_cache),
+    "service.dispatch": Site(1, "service", _service_dispatch),
+    "service.handoff": Site(1, "service", _service_handoff),
+    "service.respond": Site(1, "service", _service_respond),
+    # Study: started + 4 shard commits + finished = 6 appends;
+    # 4 dispatches; 4 store publishes; 1 quarantine (the poison
+    # trial's single poison shard).
+    "studies.ledger_append": Site(6, "study", _ledger_fault),
+    "studies.shard_dispatch": Site(4, "study", _study_dispatch),
+    "studies.shard_commit": Site(4, "study", _study_fault),
+    "studies.quarantine": Site(1, "study-poison", _study_quarantine),
+    # One artifact load per fresh store.
+    "surrogate.artifact_load": Site(1, None, _surrogate_load),
+}
+
+#: Actions whose scaffold is shared by every site that declares them.
+_ACTION_SCAFFOLDS: Dict[str, Callable[[_Trial], None]] = {
+    chaos_actions.KILL_PROCESS: _kill,
+    chaos_actions.DELAY: _delay,
+}
+
+
+def _site(name: str) -> Site:
+    if name not in SITES:
+        raise ConfigurationError(f"no trial harness for {name!r}")
+    return SITES[name]
+
+
 # ----------------------------------------------------------------------
 # The checker
 # ----------------------------------------------------------------------
@@ -337,98 +1283,13 @@ class InvariantChecker:
             else tempfile.mkdtemp(prefix="repro-chaos-")
         )
         self._clean: Dict[str, str] = {}
-        self._engine: Optional[BatchTransportEngine] = None
 
-    # -- clean baselines (one per subsystem, cached) -------------------
-
-    def clean_campaign(self) -> str:
-        """Canonical exposures of the clean campaign run."""
-        if "campaign" not in self._clean:
-            outcome = trials.make_campaign_runner(plan=self.plan).run()
-            self._clean["campaign"] = canon_exposures(outcome)
-        return self._clean["campaign"]
-
-    def clean_fleet(self) -> str:
-        """Canonical days of the clean fleet run."""
-        if "fleet" not in self._clean:
-            outcome = trials.make_fleet_runner().run(
-                n_days=trials.FLEET_N_DAYS
-            )
-            self._clean["fleet"] = canon_days(outcome)
-        return self._clean["fleet"]
-
-    def clean_transport(self) -> str:
-        """Canonical tallies of the clean serial transport run."""
-        if "transport" not in self._clean:
-            self._clean["transport"] = canon_transport(
-                self._run_transport(n_workers=1)
-            )
-        return self._clean["transport"]
-
-    def clean_ddr(self) -> str:
-        """Canonical errors of the clean DDR correct-loop run."""
-        if "ddr" not in self._clean:
-            self._clean["ddr"] = canon_ddr(self._run_ddr())
-        return self._clean["ddr"]
-
-    def clean_study(self) -> str:
-        """Canonical report of the clean study trial run."""
-        if "study" not in self._clean:
-            workdir = self.workdir / "clean-study"
-            outcome = trials.make_study_scheduler(workdir).run()
-            self._clean["study"] = canon_study(outcome.report)
-        return self._clean["study"]
-
-    def clean_study_poison(self) -> str:
-        """Canonical report of the clean poison-shard study run."""
-        if "study-poison" not in self._clean:
-            workdir = self.workdir / "clean-study-poison"
-            outcome = trials.make_study_scheduler(
-                workdir, poison=True
-            ).run()
-            self._clean["study-poison"] = canon_study(outcome.report)
-        return self._clean["study-poison"]
-
-    def clean_service(self) -> str:
-        """Canonical response of the clean service trial query."""
-        if "service" not in self._clean:
-            service = trials.make_service()
-            try:
-                line = trials.run_service_lines(
-                    service, [trials.service_request_line()]
-                )[0]
-            finally:
-                service.close()
-            self._clean["service"] = canon_service(line)
-        return self._clean["service"]
-
-    def _run_transport(self, n_workers: int) -> TransportResult:
-        if self._engine is None:
-            self._engine = BatchTransportEngine(
-                SlabGeometry([Layer(WATER, 4.0)])
-            )
-        return self._engine.run(
-            TRANSPORT_N_NEUTRONS,
-            source_energy_ev=TRANSPORT_SOURCE_EV,
-            seed=TRANSPORT_SEED,
-            batch_size=TRANSPORT_BATCH_SIZE,
-            n_workers=n_workers,
-        )
-
-    @staticmethod
-    def _run_ddr() -> DdrTestResult:
-        tester = CorrectLoopTester(
-            DDR_SENSITIVITIES[DDR_GENERATION],
-            DDR_CAPACITY_GBIT,
-            seed=DDR_SEED,
-        )
-        return tester.run(
-            ROTAX_THERMAL_FLUX,
-            duration_s=DDR_DURATION_S,
-            n_passes=DDR_N_PASSES,
-        )
-
-    # -- matrix --------------------------------------------------------
+    def clean(self, name: str) -> str:
+        """Canonical data of workload ``name``'s clean run (cached)."""
+        if name not in self._clean:
+            workload = WORKLOADS[name]
+            self._clean[name] = workload.canon(workload.run(self))
+        return self._clean[name]
 
     def horizon(self, site: str, action: str) -> int:
         """Fire-position range for one cell (rough crossings/run)."""
@@ -436,31 +1297,8 @@ class InvariantChecker:
             # Each pool worker sees only its own crossings; firing at
             # the first guarantees the kill lands in every worker.
             return 1
-        per_site = {
-            "supervisor.step": self.plan_len,
-            "campaign.exposure": self.plan_len,
-            "checkpoint.write": self.plan_len,
-            "checkpoint.load": 1,
-            "fleet.day": trials.FLEET_N_DAYS,
-            "batch.worker": 2,
-            "batch.merge": 2,
-            "memory.pass": DDR_N_PASSES,
-            # One crossing per trial request for every service site.
-            "service.cache_write": 1,
-            "service.dispatch": 1,
-            "service.handoff": 1,
-            "service.respond": 1,
-            # Study: started + 4 shard commits + finished = 6
-            # appends; 4 dispatches; 4 store publishes; 1 quarantine
-            # (the poison trial's single poison shard).
-            "studies.ledger_append": 6,
-            "studies.shard_dispatch": 4,
-            "studies.shard_commit": 4,
-            "studies.quarantine": 1,
-            # One artifact load per fresh store.
-            "surrogate.artifact_load": 1,
-        }
-        return per_site[site]
+        horizon = _site(site).horizon
+        return self.plan_len if horizon is None else horizon
 
     def run_matrix(
         self,
@@ -511,1146 +1349,10 @@ class InvariantChecker:
     def _run_trial(
         self, spec: ChaosSpec, tmpdir: Path
     ) -> Tuple[List[str], bool]:
-        site = spec.site
-        if site in ("supervisor.step", "campaign.exposure"):
-            return self._trial_campaign_step(spec, tmpdir)
-        if site == "fleet.day":
-            return self._trial_fleet_day(spec, tmpdir)
-        if site == "checkpoint.write":
-            return self._trial_checkpoint_write(spec, tmpdir)
-        if site == "checkpoint.load":
-            return self._trial_checkpoint_load(spec, tmpdir)
-        if site == "batch.worker":
-            return self._trial_batch_worker(spec, tmpdir)
-        if site == "batch.merge":
-            return self._trial_batch_merge(spec, tmpdir)
-        if site == "memory.pass":
-            return self._trial_memory_pass(spec, tmpdir)
-        if site == "service.cache_write":
-            return self._trial_service_cache(spec, tmpdir)
-        if site == "service.handoff":
-            return self._trial_service_handoff(spec, tmpdir)
-        if site == "service.dispatch":
-            return self._trial_service_dispatch(spec, tmpdir)
-        if site == "service.respond":
-            return self._trial_service_respond(spec, tmpdir)
-        if site == "studies.ledger_append":
-            return self._trial_studies_ledger(spec, tmpdir)
-        if site == "studies.shard_dispatch":
-            return self._trial_studies_dispatch(spec, tmpdir)
-        if site == "studies.shard_commit":
-            return self._trial_studies_commit(spec, tmpdir)
-        if site == "studies.quarantine":
-            return self._trial_studies_quarantine(spec, tmpdir)
-        if site == "surrogate.artifact_load":
-            return self._trial_surrogate_load(spec, tmpdir)
-        raise ConfigurationError(f"no trial harness for {site!r}")
-
-    # -- campaign-backed cells -----------------------------------------
-
-    def _trial_campaign_step(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._kill_trial(spec, tmpdir, target="campaign")
-        if spec.action == chaos_actions.DELAY:
-            return self._delay_campaign_trial(spec, tmpdir)
-        checkpoint = tmpdir / "ck.json"
-        controller = ChaosController(spec)
-        with activated(controller):
-            outcome = trials.make_campaign_runner(
-                checkpoint, plan=self.plan
-            ).run()
-        violations: List[str] = []
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        clean = self.clean_campaign()
-        got = canon_exposures(outcome)
-        self._require_valid_checkpoint(
-            checkpoint, CampaignCheckpoint, violations
-        )
-        if spec.action == chaos_actions.RAISE_TRANSIENT:
-            if not outcome.completed:
-                violations.append(
-                    "transient fault was not ridden out (incomplete)"
-                )
-            if got != clean:
-                violations.append(
-                    "retried run diverged from clean run"
-                )
-            if not self._has_event(outcome.events, EventKind.RETRY):
-                violations.append("no RETRY event recorded")
-        else:  # crash
-            violations.extend(
-                self._check_isolated_crash(outcome, got, clean, spec)
-            )
-        return violations, fired
-
-    def _check_isolated_crash(
-        self,
-        outcome: SupervisedCampaignResult,
-        got: str,
-        clean: str,
-        spec: ChaosSpec,
-    ) -> List[str]:
-        """Crash isolation: skip exactly one step, keep the prefix,
-        and be reproducible under replay."""
-        violations: List[str] = []
-        if not outcome.completed:
-            violations.append(
-                "crash was not isolated (run incomplete)"
-            )
-        isolations = sum(
-            1
-            for e in outcome.events
-            if e.kind == EventKind.ISOLATION
-        )
-        if isolations != 1:
-            violations.append(
-                f"expected exactly 1 isolation, saw {isolations}"
-            )
-        clean_rows = json.loads(clean)
-        got_rows = json.loads(got)
-        k = spec.fire_at
-        if got_rows[:k] != clean_rows[:k]:
-            violations.append(
-                "pre-fault prefix diverged from clean run"
-            )
-        if len(got_rows) != len(clean_rows) - 1:
-            violations.append(
-                "isolated step was not exactly skipped"
-                f" ({len(got_rows)} vs {len(clean_rows)} exposures)"
-            )
-        # Replay determinism: the same chaos seed must reproduce the
-        # same degraded-but-valid result, or no violation report is
-        # ever debuggable.
-        with activated(ChaosController(spec)):
-            replay = trials.make_campaign_runner(plan=self.plan).run()
-        if canon_exposures(replay) != got:
-            violations.append(
-                "chaos run is not reproducible under replay"
-            )
-        return violations
-
-    def _delay_campaign_trial(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        checkpoint = tmpdir / "ck.json"
-        clock = ChaosClock()
-        controller = ChaosController(spec, clock=clock)
-        with activated(controller):
-            outcome = trials.make_campaign_runner(
-                checkpoint,
-                plan=self.plan,
-                clock=clock.monotonic,
-                wall_clock_budget_s=trials.DELAY_TRIAL_BUDGET_S,
-            ).run()
-        violations: List[str] = []
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        clean = self.clean_campaign()
-        last_step = self.plan_len - 1
-        if outcome.completed:
-            if spec.fire_at < last_step:
-                violations.append(
-                    "deadline not enforced after injected delay"
-                )
-            if canon_exposures(outcome) != clean:
-                violations.append("delayed run diverged from clean")
-            return violations, fired
-        if not self._has_event(outcome.events, EventKind.DEADLINE):
-            violations.append("no DEADLINE event after delay")
-        if outcome.steps_completed != spec.fire_at + 1:
-            violations.append(
-                "budget not respected: "
-                f"{outcome.steps_completed} steps ran, expected"
-                f" {spec.fire_at + 1}"
-            )
-        self._require_valid_checkpoint(
-            checkpoint,
-            CampaignCheckpoint,
-            violations,
-            expect_exists=True,
-        )
-        resumed = trials.make_campaign_runner(
-            checkpoint, plan=self.plan
-        ).run(resume=True)
-        if canon_exposures(resumed) != clean:
-            violations.append(
-                "resume after deadline diverged from clean run"
-            )
-        if not self._has_event(resumed.events, EventKind.RESUME):
-            violations.append("no RESUME event on resume")
-        return violations, fired
-
-    # -- fleet cells ---------------------------------------------------
-
-    def _trial_fleet_day(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._kill_trial(spec, tmpdir, target="fleet")
-        checkpoint = tmpdir / "ck.json"
-        clean = self.clean_fleet()
-        violations: List[str] = []
-        if spec.action == chaos_actions.DELAY:
-            clock = ChaosClock()
-            controller = ChaosController(spec, clock=clock)
-            with activated(controller):
-                outcome = trials.make_fleet_runner(
-                    checkpoint,
-                    clock=clock.monotonic,
-                    wall_clock_budget_s=trials.DELAY_TRIAL_BUDGET_S,
-                ).run(n_days=trials.FLEET_N_DAYS)
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            if outcome.completed:
-                if spec.fire_at < trials.FLEET_N_DAYS - 1:
-                    violations.append(
-                        "deadline not enforced after injected delay"
-                    )
-                if canon_days(outcome) != clean:
-                    violations.append(
-                        "delayed run diverged from clean"
-                    )
-                return violations, fired
-            if not self._has_event(
-                outcome.events, EventKind.DEADLINE
-            ):
-                violations.append("no DEADLINE event after delay")
-            if outcome.days_completed != spec.fire_at + 1:
-                violations.append(
-                    "budget not respected:"
-                    f" {outcome.days_completed} days ran, expected"
-                    f" {spec.fire_at + 1}"
-                )
-            self._require_valid_checkpoint(
-                checkpoint,
-                FleetCheckpoint,
-                violations,
-                expect_exists=True,
-            )
-            resumed = trials.make_fleet_runner(checkpoint).run(
-                n_days=trials.FLEET_N_DAYS, resume=True
-            )
-            if canon_days(resumed) != clean:
-                violations.append(
-                    "resume after deadline diverged from clean run"
-                )
-            return violations, fired
-        # raise-transient
-        controller = ChaosController(spec)
-        with activated(controller):
-            outcome = trials.make_fleet_runner(checkpoint).run(
-                n_days=trials.FLEET_N_DAYS
-            )
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if not outcome.completed:
-            violations.append(
-                "transient fault was not ridden out (incomplete)"
-            )
-        if canon_days(outcome) != clean:
-            violations.append("retried run diverged from clean run")
-        if not self._has_event(outcome.events, EventKind.RETRY):
-            violations.append("no RETRY event recorded")
-        return violations, fired
-
-    # -- checkpoint cells ----------------------------------------------
-
-    def _trial_checkpoint_write(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._kill_trial(spec, tmpdir, target="campaign")
-        checkpoint = tmpdir / "ck.json"
-        controller = ChaosController(spec)
-        with activated(controller):
-            outcome = trials.make_campaign_runner(
-                checkpoint, plan=self.plan
-            ).run()
-        violations: List[str] = []
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if not outcome.completed:
-            violations.append(
-                "checkpoint-write fault was not ridden out"
-            )
-        if canon_exposures(outcome) != self.clean_campaign():
-            violations.append("faulted run diverged from clean run")
-        self._require_valid_checkpoint(
-            checkpoint,
-            CampaignCheckpoint,
-            violations,
-            expect_exists=True,
-        )
-        tmp = tmp_path(checkpoint)
-        if tmp.exists():
-            violations.append(
-                "tmp file left behind after recovered write"
-            )
-        if spec.action in (
-            chaos_actions.RAISE_TRANSIENT,
-            chaos_actions.TORN_WRITE,
-        ) and not self._has_event(outcome.events, EventKind.RETRY):
-            violations.append("no RETRY event for failed write")
-        return violations, fired
-
-    def _trial_checkpoint_load(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        checkpoint = tmpdir / "ck.json"
-        # Produce a genuine mid-run checkpoint to attack.
-        trials.make_campaign_runner(checkpoint, plan=self.plan).run(
-            max_steps=2
-        )
-        violations: List[str] = []
-        controller = ChaosController(spec)
-        if spec.action == chaos_actions.DUPLICATE:
-            with activated(controller):
-                outcome = trials.make_campaign_runner(
-                    checkpoint, plan=self.plan
-                ).run(resume=True)
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            if canon_exposures(outcome) != self.clean_campaign():
-                violations.append(
-                    "double-read resume diverged from clean run"
-                )
-            return violations, fired
-        # truncate / corrupt: the resume MUST refuse.
-        with activated(controller):
-            try:
-                trials.make_campaign_runner(
-                    checkpoint, plan=self.plan
-                ).run(resume=True)
-            except CheckpointError:
-                pass
-            else:
-                violations.append(
-                    f"{spec.action} checkpoint resumed silently"
-                    " (expected CheckpointError)"
-                )
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        return violations, fired
-
-    # -- transport cells -----------------------------------------------
-
-    def _trial_batch_worker(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        del tmpdir
-        clean = self.clean_transport()
-        violations: List[str] = []
-        controller = ChaosController(spec)
-        if spec.action == chaos_actions.KILL_WORKER:
-            with activated(controller):
-                result = self._run_transport(n_workers=2)
-            # The kill fires in forked workers; the parent-side proof
-            # is the degradation flag plus unchanged tallies.
-            fired = result.degraded_shards > 0
-            if not fired:
-                violations.append(
-                    "worker kill produced no degraded shard"
-                )
-            if canon_transport(result) != clean:
-                violations.append(
-                    "post-worker-death tallies diverged from clean"
-                )
-            return violations, fired
-        with activated(controller):
-            result = self._run_transport(n_workers=1)
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if result.degraded_shards != 1:
-            violations.append(
-                "shard failure not flagged"
-                f" (degraded_shards={result.degraded_shards})"
-            )
-        if canon_transport(result) != clean:
-            violations.append(
-                "retried-shard tallies diverged from clean"
-            )
-        return violations, fired
-
-    def _trial_batch_merge(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        del tmpdir
-        clean = self.clean_transport()
-        violations: List[str] = []
-        controller = ChaosController(spec)
-        with activated(controller):
-            result = self._run_transport(n_workers=1)
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if canon_transport(result) != clean:
-            violations.append(
-                "merge-faulted tallies diverged from clean"
-            )
-        expected_degraded = (
-            1 if spec.action == chaos_actions.RAISE_TRANSIENT else 0
-        )
-        if result.degraded_shards != expected_degraded:
-            violations.append(
-                f"expected degraded_shards={expected_degraded},"
-                f" got {result.degraded_shards}"
-            )
-        return violations, fired
-
-    # -- memory cells --------------------------------------------------
-
-    def _trial_memory_pass(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        del tmpdir
-        clean = self.clean_ddr()
-        violations: List[str] = []
-        events = EventLog()
-        supervisor = Supervisor(events=events, sleep=trials._no_sleep)
-        controller = ChaosController(spec)
-        with activated(controller):
-            if spec.action == chaos_actions.RAISE_TRANSIENT:
-                result = supervisor.call("ddr", self._run_ddr)
-                fired = controller.fired()
-                if not fired:
-                    violations.append("fault never fired")
-                if canon_ddr(result) != clean:
-                    violations.append(
-                        "fresh-tester retry diverged from clean run"
-                    )
-                if events.count(EventKind.RETRY) < 1:
-                    violations.append("no RETRY event recorded")
-                return violations, fired
-            # crash: isolate, then a clean attempt must still match.
-            result = supervisor.isolate("ddr", self._run_ddr)
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            if result is not None:
-                violations.append("crash was not isolated")
-            if events.count(EventKind.ISOLATION) != 1:
-                violations.append("no ISOLATION event recorded")
-            retried = self._run_ddr()
-        if canon_ddr(retried) != clean:
-            violations.append(
-                "post-isolation clean run diverged from clean run"
-            )
-        return violations, fired
-
-    # -- FIT-service cells ---------------------------------------------
-
-    def _trial_service_cache(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Cache-write faults: responses unharmed, no torn entry."""
-        cache_dir = tmpdir / "cache"
-        clean = self.clean_service()
-        violations: List[str] = []
-        line = trials.service_request_line()
-        controller = ChaosController(spec)
-        service = trials.make_service(cache_dir=cache_dir)
-        try:
-            with activated(controller):
-                out = trials.run_service_lines(service, [line])[0]
-        finally:
-            service.close()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if canon_service(out) != clean:
-            violations.append(
-                "cache-write fault leaked into the response"
-            )
-        # A fresh service over the same directory: its init sweeps
-        # stale tmp files, and its first answer proves the cache
-        # either holds a complete entry or none at all.
-        service2 = trials.make_service(cache_dir=cache_dir)
-        try:
-            stale = list(cache_dir.rglob("*.tmp"))
-            if stale:
-                violations.append(
-                    "stale cache tmp not swept on startup:"
-                    f" {[p.name for p in stale]}"
-                )
-            out2 = trials.run_service_lines(service2, [line])[0]
-        finally:
-            service2.close()
-        if canon_service(out2) != clean:
-            violations.append(
-                "post-fault cache state corrupted the next response"
-            )
-        cached = json.loads(out2).get("cached")
-        if spec.action == chaos_actions.CRASH:
-            # The one write attempt crashed; no entry may exist.
-            if cached:
-                violations.append(
-                    "crashed cache write left a served entry"
-                )
-        elif not cached:
-            # Transient/torn faults are retried to success.
-            violations.append(
-                "retried cache write did not produce a hit"
-            )
-        return violations, fired
-
-    def _trial_service_handoff(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Coalescer handoff faults: one shared clean error, then a
-        full thundering herd resolved by one computation."""
-        del tmpdir
-        clean = self.clean_service()
-        violations: List[str] = []
-        line = trials.service_request_line()
-        controller = ChaosController(spec)
-        service = trials.make_service()
-        try:
-            with activated(controller):
-                faulted = trials.run_service_storm(service, line, 8)
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            if len(set(faulted)) != 1:
-                violations.append(
-                    "coalesced waiters saw different handoff"
-                    " failures"
-                )
-            for response in set(faulted):
-                data = json.loads(response)
-                if data.get("ok") is not False:
-                    violations.append(
-                        "handoff fault did not surface as an error"
-                    )
-                elif data["error"]["code"] != "internal":
-                    violations.append(
-                        "handoff fault surfaced with code"
-                        f" {data['error']['code']!r}"
-                    )
-            if service.executor.compute_count != 1:
-                violations.append(
-                    "faulted storm was not coalesced"
-                    f" ({service.executor.compute_count}"
-                    " computations)"
-                )
-            # Fires exhausted: the full storm must now succeed with
-            # byte-identical payloads from a single computation.
-            before = service.executor.compute_count
-            with activated(controller):
-                storm = trials.run_service_storm(
-                    service, line, trials.SERVICE_STORM_CLIENTS
-                )
-        finally:
-            service.close()
-        if len(set(storm)) != 1:
-            violations.append(
-                "storm responses were not byte-identical"
-                f" ({len(set(storm))} distinct)"
-            )
-        if canon_service(storm[0]) != clean:
-            violations.append(
-                "storm response diverged from clean run"
-            )
-        computed = service.executor.compute_count - before
-        if computed != 1:
-            violations.append(
-                f"storm of {trials.SERVICE_STORM_CLIENTS} cost"
-                f" {computed} computations, expected 1"
-            )
-        return violations, fired
-
-    def _trial_service_dispatch(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Dispatch faults: retry, isolate, or degrade — never wedge."""
-        del tmpdir
-        clean = self.clean_service()
-        violations: List[str] = []
-        line = trials.service_request_line()
-        if spec.action == chaos_actions.KILL_WORKER:
-            controller = ChaosController(spec)
-            service = trials.make_service(n_workers=2)
-            try:
-                with activated(controller):
-                    # Fork the pool inside activation so workers
-                    # inherit the armed controller.
-                    service.executor.warm()
-                    out = trials.run_service_lines(
-                        service, [line]
-                    )[0]
-                data = json.loads(out)
-                # The kill fires inside a forked worker; the
-                # parent-side proof is the degradation flag.
-                fired = bool(data.get("degraded"))
-                if not fired:
-                    violations.append(
-                        "worker kill produced no degraded response"
-                    )
-                if data.get("ok") is not True:
-                    violations.append(
-                        "worker kill surfaced as an error response"
-                    )
-                if data.get("degraded_reason") != "worker-retry":
-                    violations.append(
-                        "degraded_reason is"
-                        f" {data.get('degraded_reason')!r},"
-                        " expected 'worker-retry'"
-                    )
-                if canon_service(out) != clean.replace(
-                    '"degraded": false', '"degraded": true'
-                ):
-                    violations.append(
-                        "post-worker-death result diverged from"
-                        " clean"
-                    )
-                # Outside activation a rebuilt pool must serve a
-                # clean, undegraded answer — killed, not wedged.
-                out2 = trials.run_service_lines(service, [line])[0]
-                if canon_service(out2) != clean:
-                    violations.append(
-                        "service did not recover after worker kill"
-                    )
-            finally:
-                service.close()
-            return violations, fired
-        controller = ChaosController(spec)
-        service = trials.make_service()
-        try:
-            with activated(controller):
-                out = trials.run_service_lines(service, [line])[0]
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            data = json.loads(out)
-            if spec.action == chaos_actions.RAISE_TRANSIENT:
-                if canon_service(out) != clean:
-                    violations.append(
-                        "retried dispatch diverged from clean run"
-                    )
-                if service.executor.events.count(EventKind.RETRY) < 1:
-                    violations.append("no RETRY event recorded")
-            else:  # crash
-                if data.get("ok") is not False:
-                    violations.append(
-                        "dispatch crash did not surface as an error"
-                    )
-                elif data["error"]["code"] != "internal":
-                    violations.append(
-                        "dispatch crash surfaced with code"
-                        f" {data['error']['code']!r}"
-                    )
-            # The next query must come back clean either way.
-            out2 = trials.run_service_lines(service, [line])[0]
-        finally:
-            service.close()
-        if canon_service(out2) != clean:
-            violations.append(
-                "service did not recover after dispatch fault"
-            )
-        return violations, fired
-
-    def _trial_service_respond(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Serialization faults: a structured error line, then clean."""
-        del tmpdir
-        clean = self.clean_service()
-        violations: List[str] = []
-        line = trials.service_request_line()
-        controller = ChaosController(spec)
-        service = trials.make_service()
-        try:
-            with activated(controller):
-                out = trials.run_service_lines(service, [line])[0]
-            fired = controller.fired()
-            if not fired:
-                violations.append("fault never fired")
-            try:
-                data = json.loads(out)
-            except ValueError:
-                violations.append(
-                    "respond fault produced an unparsable line"
-                )
-            else:
-                if data.get("ok") is not False:
-                    violations.append(
-                        "respond fault did not surface as an error"
-                    )
-                elif data["error"]["code"] != "internal":
-                    violations.append(
-                        "respond fault surfaced with code"
-                        f" {data['error']['code']!r}"
-                    )
-            out2 = trials.run_service_lines(service, [line])[0]
-        finally:
-            service.close()
-        if canon_service(out2) != clean:
-            violations.append(
-                "service did not recover after respond fault"
-            )
-        return violations, fired
-
-    # -- study cells ---------------------------------------------------
-
-    def _trial_studies_ledger(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Ledger-append faults: healed, skipped, or refused — the
-        replayed state is never silently wrong."""
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._studies_kill_trial(spec, tmpdir, "study")
-        clean = self.clean_study()
-        violations: List[str] = []
-        workdir = tmpdir / "study"
-        controller = ChaosController(spec)
-        scheduler = trials.make_study_scheduler(workdir)
-        outcome = None
-        with activated(controller):
-            try:
-                outcome = scheduler.run()
-            except LedgerError:
-                pass
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        recoverable = spec.action in (
-            chaos_actions.RAISE_TRANSIENT,
-            chaos_actions.TORN_WRITE,
-            chaos_actions.DUPLICATE,
-        )
-        if recoverable:
-            if outcome is None:
-                violations.append(
-                    f"{spec.action} ledger append was not ridden out"
-                )
-            elif outcome.status != "complete":
-                violations.append(
-                    f"run ended {outcome.status!r}, expected complete"
-                )
-            elif canon_study(outcome.report) != clean:
-                violations.append(
-                    "faulted run diverged from clean run"
-                )
-            else:
-                try:
-                    resumed = trials.make_study_scheduler(
-                        workdir
-                    ).run()
-                except LedgerError as exc:
-                    violations.append(
-                        f"recovered ledger refused replay: {exc}"
-                    )
-                else:
-                    if canon_study(resumed.report) != clean:
-                        violations.append(
-                            "resume diverged from clean run"
-                        )
-            return violations, fired
-        # truncate / corrupt (storage rot): either every subsequent
-        # replay refuses with LedgerError, or — for a truncation that
-        # merely looks like a torn tail — resume recovers the clean
-        # report exactly.  Silent divergence is the only violation.
-        detected = outcome is None
-        if not detected:
-            try:
-                resumed = trials.make_study_scheduler(workdir).run()
-            except LedgerError:
-                detected = True
-            else:
-                if spec.action == chaos_actions.CORRUPT:
-                    violations.append(
-                        "corrupt ledger record resumed silently"
-                    )
-                elif canon_study(resumed.report) != clean:
-                    violations.append(
-                        "truncated ledger resumed to a wrong report"
-                    )
-                return violations, fired
-        # The refusal must be durable: a later resume attempt must
-        # keep raising rather than append onto a corrupt ledger.
-        try:
-            trials.make_study_scheduler(workdir).run()
-        except LedgerError:
-            pass
-        else:
-            violations.append(
-                f"{spec.action} ledger refusal was not durable"
-            )
-        return violations, fired
-
-    def _trial_studies_dispatch(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Dispatch faults: retried or failure-counted, never wedged,
-        tallies unchanged."""
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._studies_kill_trial(spec, tmpdir, "study")
-        clean = self.clean_study()
-        violations: List[str] = []
-        workdir = tmpdir / "study"
-        controller = ChaosController(spec)
-        scheduler = trials.make_study_scheduler(workdir)
-        with activated(controller):
-            outcome = scheduler.run()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if outcome.status != "complete":
-            violations.append(
-                f"dispatch fault was not ridden out"
-                f" ({outcome.status})"
-            )
-        if canon_study(outcome.report) != clean:
-            violations.append(
-                "dispatch-faulted run diverged from clean run"
-            )
-        state = scheduler.ledger.replay()
-        if spec.action == chaos_actions.RAISE_TRANSIENT:
-            if scheduler.events.count(EventKind.RETRY) < 1:
-                violations.append("no RETRY event recorded")
-            if state.failures:
-                violations.append(
-                    "transient dispatch fault recorded a"
-                    f" deterministic failure: {dict(state.failures)}"
-                )
-        else:  # crash
-            if sum(state.failures.values()) != 1:
-                violations.append(
-                    "expected exactly 1 ledgered failure, saw"
-                    f" {dict(state.failures)}"
-                )
-        return violations, fired
-
-    def _trial_studies_commit(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Result-publish faults: retried idempotently, no torn tmp."""
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._studies_kill_trial(spec, tmpdir, "study")
-        clean = self.clean_study()
-        violations: List[str] = []
-        workdir = tmpdir / "study"
-        controller = ChaosController(spec)
-        scheduler = trials.make_study_scheduler(workdir)
-        with activated(controller):
-            outcome = scheduler.run()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if outcome.status != "complete":
-            violations.append(
-                f"commit fault was not ridden out ({outcome.status})"
-            )
-        if canon_study(outcome.report) != clean:
-            violations.append(
-                "commit-faulted run diverged from clean run"
-            )
-        stale = list((workdir / "store").rglob("*.tmp"))
-        if stale:
-            violations.append(
-                "torn shard tmp left behind:"
-                f" {[p.name for p in stale]}"
-            )
-        return violations, fired
-
-    def _trial_studies_quarantine(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Quarantine faults: the poison shard lands in quarantine
-        exactly once and the study degrades instead of wedging."""
-        if spec.action == chaos_actions.KILL_PROCESS:
-            return self._studies_kill_trial(
-                spec, tmpdir, "study-poison"
-            )
-        clean = self.clean_study_poison()
-        violations: List[str] = []
-        workdir = tmpdir / "study"
-        controller = ChaosController(spec)
-        scheduler = trials.make_study_scheduler(workdir, poison=True)
-        with activated(controller):
-            outcome = scheduler.run()
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if outcome.status != "degraded":
-            violations.append(
-                f"poison study ended {outcome.status!r},"
-                " expected degraded"
-            )
-        if canon_study(outcome.report) != clean:
-            violations.append(
-                "quarantine-faulted run diverged from clean"
-                " poison run"
-            )
-        state = scheduler.ledger.replay()
-        expected = (trials.STUDY_POISON_SHARD,)
-        if tuple(sorted(state.quarantined)) != expected:
-            violations.append(
-                f"quarantined {sorted(state.quarantined)},"
-                f" expected {list(expected)}"
-            )
-        return violations, fired
-
-    def _studies_kill_trial(
-        self, spec: ChaosSpec, tmpdir: Path, target: str
-    ) -> Tuple[List[str], bool]:
-        """SIGKILL a study child mid-run; resume must be byte-exact."""
-        workdir = tmpdir / "study"
-        workdir.mkdir(parents=True, exist_ok=True)
-        marker = tmpdir / "marker"
-        armed = ChaosSpec(
-            site=spec.site,
-            action=spec.action,
-            fire_at=spec.fire_at,
-            max_fires=spec.max_fires,
-            worker_only=spec.worker_only,
-            marker_path=str(marker),
-        )
-        outcome = trials.run_kill_trial(target, armed, workdir)
-        violations: List[str] = []
-        fired = outcome.fired
-        if outcome.hung:
-            violations.append("chaos child hung past timeout")
-        if not fired:
-            violations.append("fault never fired (no marker)")
-        elif outcome.exit_code != -signal.SIGKILL:
-            violations.append(
-                f"child exited {outcome.exit_code},"
-                f" expected -{int(signal.SIGKILL)}"
-            )
-        poison = target == "study-poison"
-        clean = (
-            self.clean_study_poison()
-            if poison
-            else self.clean_study()
-        )
-        scheduler = trials.make_study_scheduler(
-            workdir, poison=poison
-        )
-        try:
-            resumed = scheduler.run()
-        except LedgerError as exc:
-            violations.append(
-                f"ledger observable invalid after kill: {exc}"
-            )
-            return violations, fired
-        expected = "degraded" if poison else "complete"
-        if resumed.status != expected:
-            violations.append(
-                f"resume ended {resumed.status!r},"
-                f" expected {expected}"
-            )
-        if canon_study(resumed.report) != clean:
-            violations.append(
-                "resumed result diverged from clean run"
-            )
-        stale = list((workdir / "store").rglob("*.tmp"))
-        if stale:
-            violations.append(
-                "stale shard tmp survived resume:"
-                f" {[p.name for p in stale]}"
-            )
-        # replay() raises on any double-committed shard, so a clean
-        # replay plus the exact committed count proves each shard was
-        # counted exactly once.
-        state = scheduler.ledger.replay()
-        n_expected = scheduler.spec.n_shards - (1 if poison else 0)
-        if len(state.committed) != n_expected:
-            violations.append(
-                f"{len(state.committed)} shards committed,"
-                f" expected {n_expected}"
-            )
-        return violations, fired
-
-    # -- surrogate cells -----------------------------------------------
-
-    def _trial_surrogate_load(
-        self, spec: ChaosSpec, tmpdir: Path
-    ) -> Tuple[List[str], bool]:
-        """Artifact-load faults: the facade always answers.
-
-        A truncated or corrupted artifact is quarantined on first
-        read and the query falls back to a live engine with honest
-        provenance (no surrogate digest); a transient read error is
-        a miss, not a quarantine — the artifact survives and a fresh
-        store serves it again.
-        """
-        root = tmpdir / "surrogate"
-        digest = trials.make_surrogate_root(root)
-        # The helper's query carries the trial workload's documented
-        # constant seed; taint cannot see through its return value.
-        query = trials.surrogate_query()
-        clean = transport_api.answer(
-            query, store=SurrogateStore(root)  # repro: noqa REP101
-        )
-        violations: List[str] = []
-        if clean.provenance.engine != "surrogate":
-            violations.append(
-                "clean pass did not serve from the surrogate"
-                f" ({clean.provenance.engine!r})"
-            )
-        controller = ChaosController(spec)
-        with activated(controller):
-            chaos = transport_api.answer(
-                query, store=SurrogateStore(root)  # repro: noqa REP101
-            )
-        fired = controller.fired()
-        if not fired:
-            violations.append("fault never fired")
-        if not 0.0 <= chaos.value <= 1.0:
-            violations.append(
-                f"chaos answer is not a fraction: {chaos.value}"
-            )
-        if abs(chaos.value - clean.value) > SURROGATE_TRIAL_TOL:
-            violations.append(
-                "fallback answer diverged from the certified one:"
-                f" {chaos.value} vs {clean.value}"
-            )
-        quarantined = list(root.glob("*" + QUARANTINE_SUFFIX))
-        if spec.action == chaos_actions.RAISE_TRANSIENT:
-            if chaos.provenance.engine == "surrogate":
-                violations.append(
-                    "transient load fault did not miss the surrogate"
-                )
-            if quarantined:
-                violations.append(
-                    "transient fault quarantined a healthy artifact"
-                )
-            retry = transport_api.answer(
-                query, store=SurrogateStore(root)  # repro: noqa REP101
-            )
-            if retry.provenance.engine != "surrogate":
-                violations.append(
-                    "artifact not served again after transient fault"
-                )
-            elif retry.provenance.artifact_digest != digest:
-                violations.append(
-                    "retry served a different artifact"
-                )
-        else:  # truncate / corrupt
-            if chaos.provenance.engine == "surrogate":
-                violations.append(
-                    f"{spec.action}d artifact still served the query"
-                )
-            if chaos.provenance.artifact_digest:
-                violations.append(
-                    "fallback answer claims an artifact digest"
-                )
-            if not quarantined:
-                violations.append(
-                    f"{spec.action}d artifact was not quarantined"
-                )
-        return violations, fired
-
-    # -- kill (subprocess) trials --------------------------------------
-
-    def _kill_trial(
-        self, spec: ChaosSpec, tmpdir: Path, target: str
-    ) -> Tuple[List[str], bool]:
-        checkpoint = tmpdir / "ck.json"
-        marker = tmpdir / "marker"
-        armed = ChaosSpec(
-            site=spec.site,
-            action=spec.action,
-            fire_at=spec.fire_at,
-            max_fires=spec.max_fires,
-            worker_only=spec.worker_only,
-            marker_path=str(marker),
-        )
-        outcome = trials.run_kill_trial(
-            target, armed, checkpoint, plan=self.plan
-        )
-        violations: List[str] = []
-        fired = outcome.fired
-        if outcome.hung:
-            violations.append("chaos child hung past timeout")
-        if not fired:
-            violations.append("fault never fired (no marker)")
-        elif outcome.exit_code != -signal.SIGKILL:
-            violations.append(
-                f"child exited {outcome.exit_code},"
-                f" expected -{int(signal.SIGKILL)}"
-            )
-        snapshot_cls = (
-            CampaignCheckpoint
-            if target == "campaign"
-            else FleetCheckpoint
-        )
-        resumable = checkpoint.exists()
-        if resumable:
-            try:
-                snapshot_cls.load(checkpoint)
-            except CheckpointError as exc:
-                resumable = False
-                violations.append(
-                    f"checkpoint observable invalid after kill: {exc}"
-                )
-        # Constructing the recovery runner sweeps stale tmp files.
-        if target == "campaign":
-            runner = trials.make_campaign_runner(
-                checkpoint, plan=self.plan
-            )
-        else:
-            runner = trials.make_fleet_runner(checkpoint)
-        tmp = tmp_path(checkpoint)
-        if tmp.exists():
-            violations.append("stale tmp not cleaned on startup")
-        if target == "campaign":
-            recovered = runner.run(resume=resumable)
-            got = canon_exposures(recovered)
-            clean = self.clean_campaign()
-        else:
-            recovered = runner.run(
-                n_days=trials.FLEET_N_DAYS, resume=resumable
-            )
-            got = canon_days(recovered)
-            clean = self.clean_fleet()
-        if got != clean:
-            violations.append(
-                "recovered result diverged from clean run"
-            )
-        if resumable and not self._has_event(
-            recovered.events, EventKind.RESUME
-        ):
-            violations.append("no RESUME event after resume")
-        return violations, fired
-
-    # -- helpers -------------------------------------------------------
-
-    @staticmethod
-    def _has_event(events, kind: str) -> bool:
-        return any(e.kind == kind for e in events)
-
-    @staticmethod
-    def _require_valid_checkpoint(
-        path: Path,
-        snapshot_cls,
-        violations: List[str],
-        expect_exists: bool = False,
-    ) -> None:
-        """A checkpoint file, if observable, must always load."""
-        if not path.exists():
-            if expect_exists:
-                violations.append(
-                    f"expected checkpoint at {path.name}, found none"
-                )
-            return
-        try:
-            snapshot_cls.load(path)
-        except CheckpointError as exc:
-            violations.append(
-                f"checkpoint observable invalid: {exc}"
-            )
+        site = _site(spec.site)
+        trial = _Trial(self, spec, tmpdir, site.workload)
+        _ACTION_SCAFFOLDS.get(spec.action, site.trial)(trial)
+        return trial.violations, trial.fired
 
 
 __all__ = [

@@ -320,8 +320,9 @@ def default_store() -> Optional[SurrogateStore]:
 
 
 def _run_live(query: TransportQuery, engine: str):
-    """Run a live engine exactly as the legacy free functions did
-    (same geometry/RNG construction, so results are bit-identical)."""
+    """Run a live engine on the query's one-layer slab, seeded from
+    the query (same geometry/RNG construction on every call, so
+    results are bit-identical)."""
     geometry = SlabGeometry(
         [Layer(query.material, query.thickness_cm)]
     )

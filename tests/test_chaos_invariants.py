@@ -1,19 +1,24 @@
 """The invariant checker: matrix cells pass, broken invariants fail.
 
-The second half is the suite's reason to exist: when a durability fix
-is (deliberately) reverted — checksum verification disabled, or the
-atomic tmp-rename write replaced with an in-place write — the chaos
-matrix must FAIL the corresponding cell, proving the harness actually
-exercises the invariant rather than vacuously passing.
+TestFullMatrix runs every declared (site, action) cell once.  The
+second half is the suite's reason to exist: when a recovery fix is
+(deliberately) reverted — checksum verification disabled, the atomic
+tmp-rename write replaced with an in-place write, or the wall-clock
+deadline never enforced — the chaos matrix must FAIL the corresponding
+cell, proving the harness actually exercises the invariant rather than
+vacuously passing.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
+from repro.chaos.faultpoints import FAULT_POINTS
 from repro.chaos.invariants import ChaosReport, InvariantChecker
 from repro.chaos.schedule import ChaosSpec
 from repro.runtime import checkpoint as checkpoint_module
+from repro.runtime.budget import BudgetTracker
 
 
 @pytest.fixture()
@@ -58,6 +63,24 @@ class TestCheapCells:
             sites=["campaign.exposure"], actions=["crash"]
         )
         assert report.ok(), report.to_text()
+
+
+class TestFullMatrix:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="kill cells fork their workload",
+    )
+    def test_every_declared_cell_holds(self, checker):
+        report = checker.run_matrix()
+        assert report.ok(), report.to_text()
+        declared = [
+            (site, action)
+            for site, point in FAULT_POINTS.items()
+            for action in point.actions
+        ]
+        cells = [(cell.site, cell.action) for cell in report.cells]
+        assert sorted(cells) == sorted(declared)
+        assert len(cells) == len(set(cells))
 
 
 class TestReport:
@@ -126,10 +149,25 @@ class TestBrokenInvariantsAreCaught:
         )
         tmpdir = checker.workdir / "broken-atomic"
         tmpdir.mkdir(parents=True)
-        violations, fired = checker._kill_trial(
-            spec, tmpdir, target="campaign"
-        )
+        violations, fired = checker._run_trial(spec, tmpdir)
         assert fired
         assert any("observable invalid" in v for v in violations), (
             violations
         )
+
+    def test_unenforced_deadline_is_flagged(self, checker, monkeypatch):
+        # Break budget enforcement: the deadline never trips.  Both
+        # delay cells must now FAIL, because the run carries on past
+        # the injected clock jump.
+        monkeypatch.setattr(
+            BudgetTracker, "deadline_exceeded", lambda self: False
+        )
+        for site in ("supervisor.step", "fleet.day"):
+            spec = ChaosSpec(site, "delay", fire_at=1)
+            tmpdir = checker.workdir / f"broken-deadline-{site}"
+            tmpdir.mkdir(parents=True)
+            violations, fired = checker._run_trial(spec, tmpdir)
+            assert fired
+            assert (
+                "deadline not enforced after injected delay" in violations
+            ), violations

@@ -11,12 +11,11 @@ from repro.transport.materials import (
     POLYETHYLENE,
     WATER,
 )
+from repro.transport.api import TransportQuery, answer
 from repro.transport.montecarlo import (
     Layer,
     SlabGeometry,
     SlabTransport,
-    shield_transmission,
-    thermal_albedo_enhancement,
 )
 
 
@@ -128,48 +127,88 @@ class TestTransport:
 
 class TestAlbedo:
     def test_water_albedo_grows_with_thickness(self):
-        thin, _ = thermal_albedo_enhancement(
-            WATER, 1.0, n_neutrons=2500, seed=7
-        )
-        thick, _ = thermal_albedo_enhancement(
-            WATER, 8.0, n_neutrons=2500, seed=7
-        )
+        thin = answer(
+            TransportQuery(
+                mode="albedo", material=WATER, thickness_cm=1.0,
+                source_energy_ev=1.0e6, n_neutrons=2500, seed=7,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
+        thick = answer(
+            TransportQuery(
+                mode="albedo", material=WATER, thickness_cm=8.0,
+                source_energy_ev=1.0e6, n_neutrons=2500, seed=7,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
         assert thick > thin
 
     def test_two_inches_water_band(self):
-        albedo, stderr = thermal_albedo_enhancement(
-            WATER, 5.08, n_neutrons=3000, seed=8
-        )
+        result = answer(
+            TransportQuery(
+                mode="albedo", material=WATER, thickness_cm=5.08,
+                source_energy_ev=1.0e6, n_neutrons=3000, seed=8,
+                engine="batch",
+            ),
+            store=None,
+        ).result
+        albedo = result.thermal_albedo()
+        stderr = result.thermal_albedo_stderr()
         assert 0.08 < albedo < 0.35
         assert stderr < 0.02
 
     def test_borated_poly_reflects_fewer_thermals(self):
         # The boron eats the thermalized population before it leaves.
-        plain, _ = thermal_albedo_enhancement(
-            POLYETHYLENE, 5.0, n_neutrons=2500, seed=9
-        )
-        borated, _ = thermal_albedo_enhancement(
-            BORATED_POLYETHYLENE, 5.0, n_neutrons=2500, seed=9
-        )
+        plain = answer(
+            TransportQuery(
+                mode="albedo", material=POLYETHYLENE, thickness_cm=5.0,
+                source_energy_ev=1.0e6, n_neutrons=2500, seed=9,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
+        borated = answer(
+            TransportQuery(
+                mode="albedo", material=BORATED_POLYETHYLENE, thickness_cm=5.0,
+                source_energy_ev=1.0e6, n_neutrons=2500, seed=9,
+                engine="batch",
+            ),
+            store=None,
+        ).result.thermal_albedo()
         assert borated < plain
 
 
 class TestShielding:
     def test_cadmium_blanks_thermal_beam(self):
-        result = shield_transmission(
-            CADMIUM, 0.1, rotax_spectrum(), n_neutrons=2000, seed=10
-        )
+        result = answer(
+            TransportQuery(
+                mode="transmission", material=CADMIUM, thickness_cm=0.1,
+                source_spectrum=rotax_spectrum(), n_neutrons=2000,
+                seed=10, engine="batch",
+            ),
+            store=None,
+        ).result
         assert result.thermal_transmission_fraction() < 0.01
 
     def test_thicker_shield_transmits_less(self):
-        thin = shield_transmission(
-            BORATED_POLYETHYLENE, 1.0, rotax_spectrum(),
-            n_neutrons=2000, seed=11,
-        )
-        thick = shield_transmission(
-            BORATED_POLYETHYLENE, 6.0, rotax_spectrum(),
-            n_neutrons=2000, seed=11,
-        )
+        thin = answer(
+            TransportQuery(
+                mode="transmission", material=BORATED_POLYETHYLENE,
+                thickness_cm=1.0, source_spectrum=rotax_spectrum(),
+                n_neutrons=2000, seed=11, engine="batch",
+            ),
+            store=None,
+        ).result
+        thick = answer(
+            TransportQuery(
+                mode="transmission", material=BORATED_POLYETHYLENE,
+                thickness_cm=6.0, source_spectrum=rotax_spectrum(),
+                n_neutrons=2000, seed=11, engine="batch",
+            ),
+            store=None,
+        ).result
         assert (
             thick.thermal_transmission_fraction()
             <= thin.thermal_transmission_fraction()
